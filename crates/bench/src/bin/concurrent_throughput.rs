@@ -1,31 +1,20 @@
-//! **Concurrent throughput**: the sharded front-end under multi-threaded
-//! load, sweeping shard counts — the experiment motivating the
-//! `ShardedIndex` redesign (beyond the paper, whose evaluation is
-//! single-threaded per core).
-//!
-//! Workload: `FITING_THREADS` worker threads run a 95/5 read/write mix
-//! (the classic read-mostly serving mix) against one shared
-//! `ShardedIndex<u64, u64, FitingTree>` for a fixed operation count per
-//! thread. One shard reproduces the old whole-index `RwLock` wrapper;
-//! more shards cut writer-reader contention. Expected shape: read-only
-//! throughput scales with threads at every shard count (reader-reader
-//! sharing is free), while the mixed workload improves markedly with
-//! shards because writers stop serializing all readers.
+//! **Concurrent throughput**: the wait-free read path's thread sweep —
+//! point and `range100` lookups at 1, 2, 4, … 64 threads over one
+//! fixed 8-shard `ShardedIndex<u64, u64, FitingTree>` (beyond the
+//! paper, whose evaluation is single-threaded per core). Expected
+//! shape: throughput grows with threads up to the machine's available
+//! parallelism, since a steady-state read takes no lock.
 //!
 //! | Variable | Meaning |
 //! |---|---|
 //! | `FITING_N` | preloaded rows |
-//! | `FITING_CONC_OPS` | operations per thread (shard sweep) |
-//! | `FITING_SCALE_OPS` | total point ops per read-scaling cell |
-//! | `FITING_THREADS` | max worker threads (sweeps 1, 2, 4, … up to it) |
+//! | `FITING_SCALE_OPS` | total point ops per thread-count cell (range cells run a twentieth) |
 //!
 //! Run: `cargo run --release -p fiting-bench --bin concurrent_throughput`
+//! prints the sweep's two tables and writes nothing. The flags maintain
+//! the **read-scaling** recording:
 //!
-//! Beyond the human-readable shard sweep, the binary maintains the
-//! **read-scaling** recording — the wait-free read path's thread sweep
-//! (1…64 threads, point and `range100`) over a fixed 8-shard index:
-//!
-//! * `--record` runs the sweep and merges a `read_scaling` section
+//! * `--record` runs the same sweep and merges a `read_scaling` section
 //!   into `BENCH_hotpath.json` (override with `--out`), leaving every
 //!   other section of the recording untouched.
 //! * `--smoke` re-runs a cheap sweep and gates against the recording:
@@ -37,49 +26,11 @@
 
 #![forbid(unsafe_code)]
 
-use fiting_bench::json::Json;
 use fiting_bench::{default_n, default_seed, env_usize, print_table, sample_probes};
 use fiting_index_api::ShardedIndex;
+use fiting_telemetry::json::Json;
 use fiting_tree::{ConcurrentFitingTree, FitingTreeBuilder};
 use std::time::Instant;
-
-fn run_mix(
-    index: &ConcurrentFitingTree<u64, u64>,
-    threads: usize,
-    ops_per_thread: usize,
-    probes: &[u64],
-    write_every: usize,
-    key_span: u64,
-) -> f64 {
-    let start = Instant::now();
-    std::thread::scope(|scope| {
-        for t in 0..threads {
-            let index = index.clone();
-            scope.spawn(move || {
-                let mut hits = 0usize;
-                for i in 0..ops_per_thread {
-                    if write_every > 0 && i % write_every == 0 {
-                        // Writes land on odd keys spread uniformly over
-                        // the loaded (even-key) range, so the write
-                        // load distributes across every shard instead
-                        // of piling onto the last one.
-                        let j = (t * ops_per_thread + i) as u64;
-                        let k = (j.wrapping_mul(0x9e37_79b9_7f4a_7c15) % key_span) * 2 + 1;
-                        index.insert(k, j);
-                    } else {
-                        let p = probes[(t * 7 + i) % probes.len()];
-                        if index.get(&p).is_some() {
-                            hits += 1;
-                        }
-                    }
-                }
-                assert!(write_every != 0 || hits > 0);
-            });
-        }
-    });
-    let total_ops = threads * ops_per_thread;
-    total_ops as f64 / start.elapsed().as_secs_f64() / 1e6
-}
 
 /// Thread counts of the read-scaling sweep. Fixed (not derived from
 /// the running machine) so recordings from different boxes stay
@@ -194,9 +145,10 @@ fn scale_json(cells: &[ScaleCell]) -> Json {
     )
 }
 
-/// `--record`: run the sweep and merge the `read_scaling` section into
-/// the recording, preserving every other key.
-fn scale_record(out_path: &str) {
+/// The full sweep at recording scale, printed; with `out_path` (the
+/// `--record` mode) the `read_scaling` section is also merged into
+/// that recording, preserving every other key.
+fn scale_full(out_path: Option<&str>) {
     let n = default_n();
     let seed = default_seed();
     let point_ops = env_usize("FITING_SCALE_OPS", 400_000);
@@ -205,6 +157,9 @@ fn scale_record(out_path: &str) {
     let (point, range) = run_scale_sweep(n, seed, point_ops, range_ops);
     scale_table("read scaling — point", &point);
     scale_table("read scaling — range100", &range);
+    let Some(out_path) = out_path else {
+        return;
+    };
 
     let text = std::fs::read_to_string(out_path).expect("readable recording (run hotpath first)");
     let mut doc = Json::parse(&text).expect("well-formed recording");
@@ -319,63 +274,5 @@ fn main() {
     if smoke {
         std::process::exit(scale_smoke(&out_path));
     }
-    if record {
-        scale_record(&out_path);
-        return;
-    }
-
-    let n = default_n();
-    let seed = default_seed();
-    let ops = env_usize("FITING_CONC_OPS", 200_000);
-    let max_threads = env_usize(
-        "FITING_THREADS",
-        std::thread::available_parallelism().map_or(4, usize::from),
-    );
-    println!(
-        "# Concurrent throughput — shard sweep ({n} rows, {ops} ops/thread, up to {max_threads} threads)"
-    );
-
-    let pairs: Vec<(u64, u64)> = (0..n as u64).map(|k| (k * 2, k)).collect();
-    let keys: Vec<u64> = pairs.iter().map(|&(k, _)| k).collect();
-    let probes = sample_probes(&keys, 65_536, seed);
-    let key_span = n as u64;
-
-    let mut thread_counts = vec![1usize];
-    while *thread_counts.last().unwrap() * 2 <= max_threads {
-        thread_counts.push(thread_counts.last().unwrap() * 2);
-    }
-
-    for write_every in [0usize, 20] {
-        let title = if write_every == 0 {
-            "read-only throughput (M ops/s)".to_string()
-        } else {
-            format!("95/5 read/write throughput (M ops/s, 1 write per {write_every} ops)")
-        };
-        let mut rows = Vec::new();
-        for shards in [1usize, 2, 4, 8, 16] {
-            let mut cells = Vec::new();
-            for &threads in &thread_counts {
-                // Fresh index per cell: every measurement starts from
-                // the same bulk-loaded state, not one mutated by the
-                // previous cell's inserts.
-                let index: ConcurrentFitingTree<u64, u64> =
-                    ShardedIndex::bulk_load(&FitingTreeBuilder::new(128), shards, pairs.clone())
-                        .unwrap();
-                if cells.is_empty() {
-                    cells.push(format!("{} shards", index.shard_count()));
-                }
-                let mops = run_mix(&index, threads, ops, &probes, write_every, key_span);
-                cells.push(format!("{mops:.2}"));
-            }
-            rows.push(cells);
-        }
-        let header: Vec<String> = std::iter::once("config".to_string())
-            .chain(thread_counts.iter().map(|t| format!("{t} thr")))
-            .collect();
-        let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
-        print_table(&title, &header_refs, &rows);
-    }
-    println!("\nExpected shape: 1 shard = the old whole-index lock — mixed-workload");
-    println!("throughput stalls as threads grow; more shards restore scaling by");
-    println!("letting writers block only one shard's readers.");
+    scale_full(record.then_some(out_path.as_str()));
 }

@@ -27,11 +27,11 @@
 #![forbid(unsafe_code)]
 
 use fiting_baselines::{BinarySearchIndex, FullIndex};
-use fiting_bench::json::Json;
 use fiting_bench::{default_n, default_probes, default_seed, print_table, sample_probes};
 use fiting_datasets::Dataset;
 use fiting_index_api::{RebalancePolicy, Rebalancer, ShardedIndex, SortedIndex};
 use fiting_index_service::ServiceConfig;
+use fiting_telemetry::json::Json;
 use fiting_tree::{FitingService, FitingTree, FitingTreeBuilder, SearchStrategy};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -276,9 +276,9 @@ pub struct IndexService<K: Key, V: Clone, I: SortedIndex<K, V> + 'static> {
     /// to join it and stores the respawned one, so shutdown always
     /// joins the *current* generation of every lane's worker.
     workers: Arc<Mutex<Vec<Option<JoinHandle<()>>>>>,
-    coordinator: Option<JoinHandle<()>>,
-    checkpointer: Option<JoinHandle<()>>,
-    supervisor: Option<JoinHandle<()>>,
+    /// The periodic coordinator threads (rebalance, checkpoint,
+    /// supervisor), in spawn order; `stop` joins them in that order.
+    periodic: Vec<JoinHandle<()>>,
     coordinator_stop: Arc<(Mutex<bool>, Condvar)>,
 }
 
@@ -346,27 +346,11 @@ where
             interval,
             max_lane_restarts: max_restarts,
         } = supervisor;
-        let stop = Arc::clone(&service.coordinator_stop);
         let shared = Arc::clone(&service.shared);
         let workers = Arc::clone(&service.workers);
-        let handle = std::thread::Builder::new()
-            .name("index-service-supervisor".into())
-            .spawn(move || {
-                let (lock, cvar) = &*stop;
-                loop {
-                    let mut stopped = lock.lock();
-                    if !*stopped {
-                        let _ = cvar.wait_for(&mut stopped, interval);
-                    }
-                    if *stopped {
-                        return;
-                    }
-                    drop(stopped);
-                    supervise_pass(&shared, &workers, max_restarts);
-                }
-            })
-            .expect("spawn index-service supervisor");
-        service.supervisor = Some(handle);
+        service.spawn_periodic("index-service-supervisor", interval, move || {
+            supervise_pass(&shared, &workers, max_restarts);
+        });
         service
     }
 
@@ -387,36 +371,19 @@ where
             .expect("checkpointer requires durability config");
         let interval = durability.checkpoint_interval;
         let threshold = durability.checkpoint_wal_bytes;
-        let stop = Arc::clone(&self.coordinator_stop);
         let shared = Arc::clone(&self.shared);
-        let checkpointer = std::thread::Builder::new()
-            .name("index-service-checkpoint".into())
-            .spawn(move || {
-                let (lock, cvar) = &*stop;
-                loop {
-                    let mut stopped = lock.lock();
-                    if !*stopped {
-                        let _ = cvar.wait_for(&mut stopped, interval);
-                    }
-                    if *stopped {
-                        return;
-                    }
-                    drop(stopped);
-                    let (_rotated, failed) = shared.index.try_checkpoint_shards(threshold);
-                    if failed > 0 {
-                        // ordering: Relaxed — advisory failure total,
-                        // read only by stats snapshots; the shard's own
-                        // degraded flag (under its RwLock) carries the
-                        // behavioral change.
-                        shared
-                            .checkpoint_failures
-                            .fetch_add(failed as u64, AtomicOrdering::Relaxed);
-                    }
-                    let _ = shared.index.heal_shards();
-                }
-            })
-            .expect("spawn checkpoint coordinator");
-        self.checkpointer = Some(checkpointer);
+        self.spawn_periodic("index-service-checkpoint", interval, move || {
+            let (_rotated, failed) = shared.index.try_checkpoint_shards(threshold);
+            if failed > 0 {
+                // ordering: Relaxed — advisory failure total, read only
+                // by stats snapshots; the shard's own degraded flag
+                // (under its RwLock) carries the behavioral change.
+                shared
+                    .checkpoint_failures
+                    .fetch_add(failed as u64, AtomicOrdering::Relaxed);
+            }
+            let _ = shared.index.heal_shards();
+        });
     }
 
     /// Starts the service *and* a rebalance coordinator thread that
@@ -442,27 +409,11 @@ where
         let sampler = rebalancer.sampler();
         let counters = rebalancer.counters();
         let mut service = Self::launch(index, config, Some(sampler), Some(counters), None);
-        let stop = Arc::clone(&service.coordinator_stop);
         let index = service.shared.index.clone();
         let mut rebalancer = rebalancer;
-        let coordinator = std::thread::Builder::new()
-            .name("index-service-rebalance".into())
-            .spawn(move || {
-                let (lock, cvar) = &*stop;
-                loop {
-                    let mut stopped = lock.lock();
-                    if !*stopped {
-                        let _ = cvar.wait_for(&mut stopped, interval);
-                    }
-                    if *stopped {
-                        return;
-                    }
-                    drop(stopped);
-                    rebalancer.step(&index);
-                }
-            })
-            .expect("spawn rebalance coordinator");
-        service.coordinator = Some(coordinator);
+        service.spawn_periodic("index-service-rebalance", interval, move || {
+            rebalancer.step(&index);
+        });
         service
     }
 
@@ -496,11 +447,40 @@ where
         IndexService {
             shared,
             workers: Arc::new(Mutex::new(workers)),
-            coordinator: None,
-            checkpointer: None,
-            supervisor: None,
+            periodic: Vec::new(),
             coordinator_stop: Arc::new((Mutex::new(false), Condvar::new())),
         }
+    }
+
+    /// Spawns a coordinator thread named `name` that runs `task` every
+    /// `interval` until [`stop`](Self::stop) raises `coordinator_stop`.
+    /// The wait is on the stop condvar, so shutdown wakes the thread at
+    /// once instead of waiting out the interval.
+    fn spawn_periodic(
+        &mut self,
+        name: &str,
+        interval: Duration,
+        mut task: impl FnMut() + Send + 'static,
+    ) {
+        let stop = Arc::clone(&self.coordinator_stop);
+        let handle = std::thread::Builder::new()
+            .name(name.into())
+            .spawn(move || {
+                let (lock, cvar) = &*stop;
+                loop {
+                    let mut stopped = lock.lock();
+                    if !*stopped {
+                        let _ = cvar.wait_for(&mut stopped, interval);
+                    }
+                    if *stopped {
+                        return;
+                    }
+                    drop(stopped);
+                    task();
+                }
+            })
+            .unwrap_or_else(|e| panic!("spawn {name}: {e}"));
+        self.periodic.push(handle);
     }
 
     /// A new submission handle; clone freely, one per connection.
@@ -562,10 +542,11 @@ where
         self.shared.index.clone()
     }
 
-    /// Clean shutdown: stops the rebalance coordinator (if any),
-    /// closes every queue (further submissions fail), drains and
-    /// executes every already-accepted command — resolving its ticket
-    /// — joins the workers, and returns the index.
+    /// Clean shutdown: stops the coordinator threads (rebalance,
+    /// checkpoint, supervisor — whichever were started), closes every
+    /// queue (further submissions fail), drains and executes every
+    /// already-accepted command — resolving its ticket — joins the
+    /// workers, and returns the index.
     #[must_use = "shutdown returns the drained index"]
     pub fn shutdown(mut self) -> ShardedIndex<K, V, I> {
         self.stop();
@@ -583,17 +564,11 @@ impl<K: Key, V: Clone, I: SortedIndex<K, V> + 'static> IndexService<K, V, I> {
             *lock.lock() = true;
             cvar.notify_all();
         }
-        if let Some(coordinator) = self.coordinator.take() {
-            let _ = coordinator.join();
-        }
-        if let Some(checkpointer) = self.checkpointer.take() {
-            let _ = checkpointer.join();
-        }
-        if let Some(supervisor) = self.supervisor.take() {
-            // Joining here means any in-flight resurrection finishes
-            // (its respawned worker handle lands in `workers`) before
-            // the close-and-join sweep starts.
-            let _ = supervisor.join();
+        // Joining the supervisor here means any in-flight resurrection
+        // finishes (its respawned worker handle lands in `workers`)
+        // before the close-and-join sweep starts.
+        for periodic in self.periodic.drain(..) {
+            let _ = periodic.join();
         }
         for queue in &self.shared.queues {
             queue.close();
@@ -1258,6 +1233,61 @@ mod tests {
         assert!(client.is_closed());
         assert_eq!(client.get(0).wait(), Err(Canceled));
         let _ = svc.shutdown();
+    }
+
+    #[test]
+    fn shutdown_is_prompt_with_hour_long_intervals() {
+        // Raising the stop flag must wake every coordinator out of its
+        // interval wait at once; a missed wake-up would park shutdown
+        // for the full hour.
+        const HOUR: Duration = Duration::from_secs(3_600);
+        let index = || -> ShardedIndex<u64, u64, VecIndex<u64, u64>> {
+            ShardedIndex::bulk_load(&(), 2, (0..100u64).map(|k| (k, k)).collect()).unwrap()
+        };
+        // One service at a time, shut down off-thread, so a stuck
+        // coordinator fails the test instead of hanging it.
+        let assert_prompt_shutdown = |name: &str, svc: Svc| {
+            assert_eq!(svc.client().insert(1_000, 1).wait(), Ok(None));
+            let (done, finished) = std::sync::mpsc::channel();
+            let shutdown = thread::spawn(move || {
+                let _ = done.send(svc.shutdown().len());
+            });
+            assert_eq!(
+                finished.recv_timeout(Duration::from_secs(2)),
+                Ok(101),
+                "{name} service did not shut down within 2 s"
+            );
+            shutdown.join().unwrap();
+        };
+        let durability = DurabilityConfig {
+            checkpoint_interval: HOUR,
+            ..DurabilityConfig::default()
+        };
+        assert_prompt_shutdown(
+            "durable",
+            IndexService::start_durable(index(), ServiceConfig::default(), durability.clone()),
+        );
+        assert_prompt_shutdown(
+            "supervised",
+            IndexService::start_supervised(
+                index(),
+                ServiceConfig::default(),
+                durability,
+                SupervisorConfig {
+                    interval: HOUR,
+                    ..SupervisorConfig::default()
+                },
+            ),
+        );
+        assert_prompt_shutdown(
+            "rebalancing",
+            IndexService::start_rebalancing(
+                index(),
+                ServiceConfig::default(),
+                Rebalancer::new((), RebalancePolicy::default()),
+                HOUR,
+            ),
+        );
     }
 
     #[test]
