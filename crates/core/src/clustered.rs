@@ -54,11 +54,6 @@ pub struct FitingTree<K: Key, V> {
     pub(crate) splices: u64,
     /// Cumulative `(anchor, slot)` entries written by those splices.
     pub(crate) splice_entries: u64,
-    /// Bench-only baseline: when set, every splice is followed by a
-    /// from-scratch rebuild of the directory arrays — the retired O(S)
-    /// behavior — so the `insert-heavy` hotpath scenario can measure
-    /// splice vs rebuild on identical workloads.
-    pub(crate) rebuild_baseline: bool,
 }
 
 impl<K: Key, V> FitingTree<K, V> {
@@ -90,7 +85,6 @@ impl<K: Key, V> FitingTree<K, V> {
             len: 0,
             splices: 0,
             splice_entries: 0,
-            rebuild_baseline: false,
         })
     }
 
@@ -139,16 +133,11 @@ impl<K: Key, V> FitingTree<K, V> {
     /// directory window `range` with `entries`, shifting only the tail
     /// — O(entries + shift), the path that retired the per-mutation
     /// O(S) re-mirror of the old B+ tree. Counts toward the splice
-    /// statistics; in bench-baseline mode it additionally re-runs the
-    /// old from-scratch rebuild so the two costs can be compared on
-    /// identical workloads.
+    /// statistics.
     fn splice_directory(&mut self, range: std::ops::Range<usize>, entries: &[(K, u32)]) {
         self.splices += 1;
         self.splice_entries += entries.len() as u64;
         self.dir.splice(range, entries);
-        if self.rebuild_baseline {
-            self.dir.rebuild_in_place();
-        }
     }
 
     /// Directory position of the segment anchored exactly at `anchor`.
@@ -159,15 +148,6 @@ impl<K: Key, V> FitingTree<K, V> {
             .expect("anchor lookup on non-empty directory");
         debug_assert_eq!(self.dir.anchor_at(pos), anchor);
         pos
-    }
-
-    /// Enables (or disables) the bench-only directory-rebuild baseline:
-    /// when on, every structural mutation pays the retired O(S)
-    /// from-scratch directory rebuild *in addition to* the splice, so
-    /// the `insert-heavy` benchmark can measure what the incremental
-    /// splice path saves. Not intended for production use.
-    pub fn set_directory_rebuild_baseline(&mut self, enabled: bool) {
-        self.rebuild_baseline = enabled;
     }
 
     /// Number of key/value pairs in the index.

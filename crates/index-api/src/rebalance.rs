@@ -10,7 +10,8 @@
 //! workloads *append*: every new key is larger than every loaded one,
 //! so the whole write stream lands on the last shard while the others
 //! idle. Occupancy has been observable since the service layer landed
-//! ([`ShardedIndex::shard_stats`], `ServiceStats::imbalance`); this
+//! ([`ShardedIndex::shard_stats`], the service's `index.imbalance`
+//! metric); this
 //! module closes the loop by *acting* on it, the same way incremental
 //! view maintenance keeps an answer fresh under updates instead of
 //! recomputing from scratch.
@@ -83,8 +84,8 @@ use std::sync::Arc;
 #[derive(Debug, Clone)]
 pub struct RebalancePolicy {
     /// Split when the fullest shard's entries exceed this multiple of
-    /// the mean (`max/mean`, the same ratio `ServiceStats::imbalance`
-    /// reports). Must be > 1.
+    /// the mean (`max/mean`, the same ratio the service's
+    /// `index.imbalance` metric reports). Must be > 1.
     pub split_imbalance: f64,
     /// Never split a shard holding fewer entries than this — tiny
     /// shards are cheap to search and expensive to fragment.

@@ -1090,8 +1090,9 @@ impl<K: Key, V: Clone, I: SortedIndex<K, V> + 'static> ShardedIndex<K, V, I> {
     /// flushes every shard through [`SortedIndex::try_sync`] and
     /// returns `(flushed, failed)` — `failed` counts shards whose
     /// flush refused or errored (i.e. shards now degraded). The
-    /// service worker uses this so a dying disk shows up in
-    /// `ServiceStats` instead of being silently swallowed.
+    /// service worker uses this so a dying disk shows up in the
+    /// `service.sync_failures` metric instead of being silently
+    /// swallowed.
     pub fn try_sync_all(&self) -> (usize, usize) {
         let mut flushed = 0;
         let mut failed = 0;
@@ -1208,17 +1209,6 @@ impl<K: Key, V: Clone, I: SortedIndex<K, V> + 'static> ShardedIndex<K, V, I> {
         let shard = table.shards.get(idx)?;
         let reloaded = shard.write().reload();
         Some(reloaded)
-    }
-
-    /// The [`ShardHealth`] of every shard, in shard order — the
-    /// supervisor's cheap probe (one read section per shard).
-    #[must_use]
-    pub fn shard_health(&self) -> Vec<ShardHealth> {
-        self.table()
-            .shards
-            .iter()
-            .map(|s| s.read_with(SortedIndex::health))
-            .collect()
     }
 }
 

@@ -39,9 +39,9 @@
 //! it at the sampled write median (or merges cold neighbors) without
 //! stopping traffic — lanes and their ordering guarantee are
 //! unaffected because lane routing is frozen while *shard* routing
-//! moves. [`stats`](IndexService::stats) reports the split/merge/moved
-//! totals next to the per-lane queue counters and the live per-shard
-//! occupancy.
+//! moves. [`metrics`](IndexService::metrics) reports the
+//! split/merge/moved totals next to the per-lane queue counters and the
+//! live shard occupancy.
 //!
 //! # End to end
 //!
@@ -84,7 +84,7 @@ mod worker;
 pub use client::Client;
 pub use command::Command;
 pub use queue::{BoundedQueue, Closed, TryPushError};
-pub use stats::{LaneHealth, LaneServiceStats, ServiceStats};
+pub use stats::LaneHealth;
 pub use telemetry::CommandKind;
 // Re-exported so embedders can aggregate service metrics into their
 // own registry without a separate fiting-telemetry import.
@@ -212,18 +212,18 @@ pub(crate) struct ServiceShared<K: Key, V: Clone, I: SortedIndex<K, V> + 'static
     pub(crate) telemetry: Arc<ServiceTelemetry>,
     /// Per-lane health words (see [`LaneHealth`]); written by the
     /// workers (Healthy/Degraded/Poisoned) and the supervisor
-    /// (Recovering/Healthy), read by stats snapshots.
+    /// (Recovering/Healthy), read by the metrics readout.
     pub(crate) lane_state: Vec<LaneState>,
     /// Failed checkpoint rotations observed by the checkpoint
-    /// coordinator — surfaced through [`ServiceStats`], where before
-    /// this counter the coordinator silently dropped the error.
+    /// coordinator — exported as `service.checkpoint_failures`, where
+    /// before this counter the coordinator silently dropped the error.
     pub(crate) checkpoint_failures: AtomicU64,
     pub(crate) config: ServiceConfig,
     /// Write-stream sampler feeding the rebalancer's split boundaries;
     /// `None` when the service runs without rebalancing.
     pub(crate) sampler: Option<Arc<fiting_index_api::WriteSampler<K>>>,
-    /// Rebalancing totals for [`IndexService::stats`]; `None` when the
-    /// service runs without rebalancing.
+    /// Rebalancing totals for the `rebalance.*` metrics; `None` when
+    /// the service runs without rebalancing.
     pub(crate) rebalance: Option<Arc<RebalanceCounters>>,
     /// Durability hooks; `None` when the service runs volatile.
     pub(crate) durability: Option<DurabilityConfig>,
@@ -233,33 +233,6 @@ impl<K: Key, V: Clone, I: SortedIndex<K, V> + 'static> ServiceShared<K, V, I> {
     /// The lane owning `key` under the frozen router.
     pub(crate) fn lane_of(&self, key: &K) -> usize {
         self.router.partition_point(|b| b <= key)
-    }
-
-    /// Assembles the whole-service stats snapshot (shared by
-    /// [`IndexService::stats`] and the metrics collector, which holds
-    /// only a `Weak` to this struct).
-    pub(crate) fn service_stats(&self) -> ServiceStats {
-        ServiceStats {
-            lanes: self
-                .counters
-                .iter()
-                .enumerate()
-                .map(|(lane, counters)| {
-                    LaneServiceStats::from_counters(
-                        lane,
-                        self.queues[lane].len(),
-                        self.queues[lane].capacity(),
-                        counters,
-                        self.lane_state[lane].get(),
-                    )
-                })
-                .collect(),
-            shards: self.index.shard_stats(),
-            rebalance: self.rebalance.as_ref().map(|c| c.snapshot()),
-            routing: self.index.routing_stats(),
-            // ordering: Relaxed — advisory stats counter.
-            checkpoint_failures: self.checkpoint_failures.load(AtomicOrdering::Relaxed),
-        }
     }
 }
 
@@ -357,12 +330,11 @@ where
     /// Spawns the checkpoint coordinator thread: every
     /// [`checkpoint_interval`](DurabilityConfig::checkpoint_interval)
     /// it rotates shards whose WAL has outgrown the threshold, counts
-    /// failed rotations into
-    /// [`ServiceStats::checkpoint_failures`] (a failed rotation also
-    /// flips its shard degraded read-only), and then runs a heal pass:
-    /// degraded shards retry their checkpoint regardless of WAL size,
-    /// since a successful rotation is the only thing that clears
-    /// degraded mode.
+    /// failed rotations into the `service.checkpoint_failures` metric
+    /// (a failed rotation also flips its shard degraded read-only),
+    /// and then runs a heal pass: degraded shards retry their
+    /// checkpoint regardless of WAL size, since a successful rotation
+    /// is the only thing that clears degraded mode.
     fn spawn_checkpointer(&mut self) {
         let durability = self
             .shared
@@ -376,7 +348,7 @@ where
             let (_rotated, failed) = shared.index.try_checkpoint_shards(threshold);
             if failed > 0 {
                 // ordering: Relaxed — advisory failure total, read only
-                // by stats snapshots; the shard's own degraded flag
+                // by the metrics readout; the shard's own degraded flag
                 // (under its RwLock) carries the behavioral change.
                 shared
                     .checkpoint_failures
@@ -491,27 +463,20 @@ where
         }
     }
 
-    /// Point-in-time pipeline snapshot: per-lane queue depths and batch
-    /// counters, the underlying index's live per-shard occupancy, and
-    /// — when started with [`start_rebalancing`](Self::start_rebalancing)
-    /// — the rebalancing totals.
-    #[must_use]
-    pub fn stats(&self) -> ServiceStats {
-        self.shared.service_stats()
-    }
-
-    /// Unified metrics snapshot: per-command-kind latency histograms
-    /// (end-to-end, queue wait, execute) and submission counters from
-    /// the telemetry layer, plus the pipeline / shard / routing /
-    /// durability counters of [`stats`](Self::stats) translated into
-    /// the same typed schema. Serialize with
-    /// [`MetricsSnapshot::to_json`]; the metric catalog is documented
-    /// in `docs/OBSERVABILITY.md`.
+    /// The service's readout, read from its live counters:
+    /// per-command-kind latency histograms (end-to-end, queue wait,
+    /// execute) and submission counters; pipeline totals plus the same
+    /// fields per lane (`service.lane.<i>.*`, including each lane's
+    /// [`LaneHealth`] code); the underlying index's occupancy and
+    /// routing counters; and — when started with
+    /// [`start_rebalancing`](Self::start_rebalancing) — the rebalancing
+    /// totals. Serialize with [`MetricsSnapshot::to_json`]; the metric
+    /// catalog is documented in `docs/OBSERVABILITY.md`.
     #[must_use]
     pub fn metrics(&self) -> MetricsSnapshot {
-        let mut metrics = self.shared.telemetry.metrics();
-        metrics.extend(telemetry::stats_metrics(&self.shared.service_stats()));
-        MetricsSnapshot { metrics }
+        MetricsSnapshot {
+            metrics: self.shared.metrics(),
+        }
     }
 
     /// Registers this service's metrics with an external
@@ -524,12 +489,8 @@ where
     pub fn install_metrics(&self, registry: &MetricsRegistry) {
         let weak = Arc::downgrade(&self.shared);
         registry.register_collector(move || {
-            let Some(shared) = weak.upgrade() else {
-                return Vec::new();
-            };
-            let mut metrics = shared.telemetry.metrics();
-            metrics.extend(telemetry::stats_metrics(&shared.service_stats()));
-            metrics
+            weak.upgrade()
+                .map_or_else(Vec::new, |shared| shared.metrics())
         });
     }
 
@@ -674,7 +635,7 @@ fn supervise_pass<K, V, I>(
 mod tests {
     use super::*;
     use fiting_index_api::doctest_support::VecIndex;
-    use fiting_index_api::RebalanceOutcome;
+    use fiting_index_api::{RebalanceOutcome, ShardHealth};
     use std::thread;
 
     type Svc = IndexService<u64, u64, VecIndex<u64, u64>>;
@@ -848,7 +809,7 @@ mod tests {
         // more than one per command.
         let execute = snap.histogram("service.insert.execute").unwrap();
         assert!(execute.count() >= 1 && execute.count() <= 100);
-        // The stats translation rides in the same snapshot.
+        // The pipeline and index counters ride in the same snapshot.
         assert_eq!(snap.counter("service.processed"), Some(101));
         assert_eq!(snap.gauge("service.lanes"), Some(2.0));
         assert_eq!(snap.gauge("service.degraded"), Some(0.0));
@@ -911,25 +872,25 @@ mod tests {
     }
 
     #[test]
-    fn stats_observe_batching_and_occupancy() {
+    fn metrics_observe_batching_and_occupancy() {
         let svc = start(10_000, 4, ServiceConfig::default());
         let client = svc.client();
         let tickets: Vec<_> = (0..2_000u64).map(|k| client.insert(k * 2 + 1, k)).collect();
         for t in tickets {
             t.wait().unwrap();
         }
-        let stats = svc.stats();
-        assert_eq!(stats.lanes.len(), 4);
-        assert_eq!(stats.shards.len(), 4, "no rebalancer: shards == lanes");
-        assert_eq!(stats.rebalance, None);
-        assert_eq!(stats.total_processed(), 2_000);
-        assert!(stats.mean_batch_len() >= 1.0);
-        let entries: usize = stats.shards.iter().map(|s| s.entries).sum();
-        assert_eq!(entries, 12_000);
-        assert!(stats.imbalance() >= 1.0);
-        for s in &stats.lanes {
-            assert_eq!(s.queue_capacity, 1_024);
-            assert!(s.enqueued >= s.processed);
+        let snap = svc.metrics();
+        assert_eq!(snap.gauge("service.lanes"), Some(4.0));
+        assert_eq!(snap.gauge("index.shards"), Some(4.0), "no rebalancer");
+        assert!(snap.get("rebalance.splits").is_none());
+        assert_eq!(snap.counter("service.processed"), Some(2_000));
+        assert!(snap.gauge("service.mean_batch_len").unwrap() >= 1.0);
+        assert_eq!(snap.gauge("index.entries"), Some(12_000.0));
+        assert!(snap.gauge("index.imbalance").unwrap() >= 1.0);
+        for lane in 0..4 {
+            let name = |field: &str| format!("service.lane.{lane}.{field}");
+            assert_eq!(snap.gauge(&name("queue.capacity")), Some(1_024.0));
+            assert!(snap.counter(&name("enqueued")) >= snap.counter(&name("processed")));
         }
         let _ = svc.shutdown();
     }
@@ -972,14 +933,14 @@ mod tests {
         let client = svc.client();
         // Two quick submissions should usually land in one drained
         // batch thanks to the window; assert only on correctness (the
-        // timing claim is probabilistic) plus the stats invariant.
+        // timing claim is probabilistic) plus the counter invariant.
         let a = client.insert(1, 1);
         let b = client.insert(3, 3);
         a.wait().unwrap();
         b.wait().unwrap();
-        let stats = svc.stats();
-        assert_eq!(stats.total_processed(), 2);
-        assert!(stats.lanes[0].batches <= 2);
+        let snap = svc.metrics();
+        assert_eq!(snap.counter("service.processed"), Some(2));
+        assert!(snap.counter("service.lane.0.batches").unwrap() <= 2);
         let _ = svc.shutdown();
     }
 
@@ -1016,16 +977,19 @@ mod tests {
         // The coordinator runs every 1ms; give it a few beats.
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
         loop {
-            let stats = svc.stats();
-            let reb = stats.rebalance.expect("rebalancer attached");
-            if reb.splits >= 1 {
-                assert!(stats.shards.len() > stats.lanes.len());
-                assert!(reb.moved_keys > 0);
+            let snap = svc.metrics();
+            let splits = snap
+                .counter("rebalance.splits")
+                .expect("rebalancer attached");
+            if splits >= 1 {
+                assert!(snap.gauge("index.shards") > snap.gauge("service.lanes"));
+                assert!(snap.counter("rebalance.moved_keys").unwrap() > 0);
                 break;
             }
             assert!(
                 std::time::Instant::now() < deadline,
-                "no split within deadline: {stats:?}"
+                "no split within deadline: {:?}",
+                snap.to_json().pretty()
             );
             thread::sleep(Duration::from_millis(2));
         }
@@ -1045,13 +1009,15 @@ mod tests {
         assert_eq!(o, RebalanceOutcome::Idle);
     }
 
-    /// Fault injection for the worker's panic-containment path: a
-    /// [`VecIndex`] that panics when asked to insert [`BOOM_KEY`].
-    struct PanicOnKey {
+    /// Fault injection: a [`VecIndex`] that panics when asked to
+    /// insert [`BOOM_KEY`] (the worker's panic-containment path) and
+    /// reports itself degraded while it holds [`SICK_KEY`].
+    pub(crate) struct PanicOnKey {
         inner: VecIndex<u64, u64>,
     }
 
-    const BOOM_KEY: u64 = u64::MAX;
+    pub(crate) const BOOM_KEY: u64 = u64::MAX;
+    pub(crate) const SICK_KEY: u64 = u64::MAX - 1;
 
     impl SortedIndex<u64, u64> for PanicOnKey {
         type RangeIter<'a> = <VecIndex<u64, u64> as SortedIndex<u64, u64>>::RangeIter<'a>;
@@ -1078,6 +1044,13 @@ mod tests {
         fn range<R: std::ops::RangeBounds<u64>>(&self, range: R) -> Self::RangeIter<'_> {
             self.inner.range(range)
         }
+        fn health(&self) -> ShardHealth {
+            if self.inner.get(&SICK_KEY).is_some() {
+                ShardHealth::Degraded
+            } else {
+                ShardHealth::Healthy
+            }
+        }
     }
 
     impl BuildableIndex<u64, u64> for PanicOnKey {
@@ -1091,19 +1064,36 @@ mod tests {
         }
     }
 
-    /// Waits until the lane's caught-panic counter reaches `want`.
-    /// The counter increments on the worker thread after the panicking
-    /// ticket has already canceled, so observers must poll briefly.
-    fn await_panics(svc: &IndexService<u64, u64, PanicOnKey>, lane: usize, want: u64) {
+    /// Lane `lane`'s `field` counter from a fresh metrics snapshot.
+    fn lane_counter(svc: &IndexService<u64, u64, PanicOnKey>, lane: usize, field: &str) -> u64 {
+        svc.metrics()
+            .counter(&format!("service.lane.{lane}.{field}"))
+            .expect("lane counter exported")
+    }
+
+    /// Waits until lane `lane`'s `field` counter reaches `want`.
+    /// Panics are counted on the worker thread after the panicking
+    /// ticket has already canceled, and restarts by the supervisor
+    /// thread, so observers must poll briefly.
+    fn await_lane_counter(
+        svc: &IndexService<u64, u64, PanicOnKey>,
+        lane: usize,
+        field: &str,
+        want: u64,
+    ) {
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while svc.stats().lanes[lane].panics < want {
+        while lane_counter(svc, lane, field) < want {
             assert!(
                 std::time::Instant::now() < deadline,
-                "lane {lane} never recorded {want} caught panic(s): {:?}",
-                svc.stats().lanes
+                "lane {lane} never reached {field} = {want}: {}",
+                svc.metrics().to_json().pretty()
             );
             thread::sleep(Duration::from_millis(1));
         }
+    }
+
+    fn await_panics(svc: &IndexService<u64, u64, PanicOnKey>, lane: usize, want: u64) {
+        await_lane_counter(svc, lane, "panics", want);
     }
 
     #[test]
@@ -1164,16 +1154,10 @@ mod tests {
         await_panics(&svc, 1, 1);
 
         // Wait for the resurrection: restart counted, health Healthy.
+        await_lane_counter(&svc, 1, "restarts", 1);
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        loop {
-            let lane = svc.stats().lanes[1];
-            if lane.restarts >= 1 && lane.health == LaneHealth::Healthy {
-                break;
-            }
-            assert!(
-                std::time::Instant::now() < deadline,
-                "lane 1 never resurrected: {lane:?}"
-            );
+        while svc.metrics().gauge("service.lane.1.health") != Some(0.0) {
+            assert!(std::time::Instant::now() < deadline, "lane 1 never healed");
             thread::sleep(Duration::from_millis(2));
         }
         assert!(!client.is_closed());
@@ -1186,20 +1170,12 @@ mod tests {
         assert_eq!(client.get(90).wait(), Ok(Some(909)));
         assert_eq!(client.get(99).wait(), Ok(Some(99)));
         // The healthy lane was never disturbed.
-        assert_eq!(svc.stats().lanes[0].panics, 0);
+        assert_eq!(lane_counter(&svc, 0, "panics"), 0);
 
         // A second panic on the same lane resurrects again.
         assert_eq!(client.insert(BOOM_KEY, 0).wait(), Err(Canceled));
         await_panics(&svc, 1, 2);
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while svc.stats().lanes[1].restarts < 2 {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "no second resurrection: {:?}",
-                svc.stats().lanes
-            );
-            thread::sleep(Duration::from_millis(2));
-        }
+        await_lane_counter(&svc, 1, "restarts", 2);
         assert_eq!(client.insert(91, 1).wait(), Ok(Some(91)));
 
         let index = svc.shutdown();
@@ -1227,9 +1203,9 @@ mod tests {
         await_panics(&svc, 0, 1);
         // Give the supervisor several beats to (wrongly) act.
         thread::sleep(Duration::from_millis(20));
-        let lane = svc.stats().lanes[0];
-        assert_eq!(lane.health, LaneHealth::Poisoned);
-        assert_eq!(lane.restarts, 0);
+        let poisoned = f64::from(LaneHealth::Poisoned.as_u8());
+        assert_eq!(svc.metrics().gauge("service.lane.0.health"), Some(poisoned));
+        assert_eq!(lane_counter(&svc, 0, "restarts"), 0);
         assert!(client.is_closed());
         assert_eq!(client.get(0).wait(), Err(Canceled));
         let _ = svc.shutdown();
@@ -1301,7 +1277,7 @@ mod tests {
         // BOOM_KEY is u64::MAX, so it routes to the last lane.
         assert_eq!(client.insert(BOOM_KEY, 0).wait(), Err(Canceled));
         await_panics(&svc, 1, 1);
-        assert_eq!(svc.stats().lanes[0].panics, 0);
+        assert_eq!(lane_counter(&svc, 0, "panics"), 0);
 
         // The healthy lane keeps serving reads and writes...
         assert_eq!(client.insert(10, 99).wait(), Ok(Some(10)));

@@ -27,14 +27,13 @@
 //! latter is the signal the open-loop SLO harness uses to find the
 //! overload knee.
 //!
-//! Everything exports through [`ServiceTelemetry::metrics`] plus the
-//! [`stats_metrics`] translation of [`ServiceStats`], unified by
-//! [`IndexService::metrics`](crate::IndexService::metrics). The full
+//! Everything exports through [`ServiceTelemetry::metrics`], which
+//! [`IndexService::metrics`](crate::IndexService::metrics) reports next
+//! to the pipeline, index and routing counters. The full
 //! metric catalog — name, type, unit, what a bad value looks like —
 //! lives in `docs/OBSERVABILITY.md`.
 
 use crate::command::Command;
-use crate::stats::ServiceStats;
 use crate::ticket::{Completer, Outcome};
 use fiting_telemetry::{Counter, Histogram, Metric, Unit};
 use std::sync::Arc;
@@ -249,203 +248,6 @@ fn armed<T: Send + 'static>(
         }
         done.resolve(outcome);
     })
-}
-
-/// Translates a [`ServiceStats`] snapshot into typed metrics — the
-/// collector bridging the pipeline/shard/routing/durability counters
-/// (which predate `fiting-telemetry`) into the unified snapshot.
-pub(crate) fn stats_metrics(stats: &ServiceStats) -> Vec<Metric> {
-    let lane_sum =
-        |f: fn(&crate::LaneServiceStats) -> u64| -> u64 { stats.lanes.iter().map(f).sum() };
-    let entries: usize = stats.shards.iter().map(|s| s.entries).sum();
-    let size_bytes: usize = stats.shards.iter().map(|s| s.size_bytes).sum();
-    let wal_bytes: usize = stats.shards.iter().map(|s| s.wal_bytes).sum();
-    let io_retries: u64 = stats.shards.iter().map(|s| s.io_retries).sum();
-    let mut out = vec![
-        Metric::gauge(
-            "service.lanes",
-            Unit::Count,
-            "queue/worker pairs (fixed at service start)",
-            stats.lanes.len() as f64,
-        ),
-        Metric::gauge(
-            "service.queue.depth",
-            Unit::Count,
-            "commands waiting across all lane queues",
-            stats.total_queued() as f64,
-        ),
-        Metric::counter(
-            "service.enqueued",
-            Unit::Count,
-            "commands accepted across all lanes",
-            lane_sum(|l| l.enqueued),
-        ),
-        Metric::counter(
-            "service.processed",
-            Unit::Count,
-            "commands executed across all lanes",
-            lane_sum(|l| l.processed),
-        ),
-        Metric::counter(
-            "service.batches",
-            Unit::Count,
-            "non-empty queue drains across all lanes",
-            lane_sum(|l| l.batches),
-        ),
-        Metric::gauge(
-            "service.mean_batch_len",
-            Unit::Ratio,
-            "commands per non-empty drain (achieved batching)",
-            stats.mean_batch_len(),
-        ),
-        Metric::counter(
-            "service.write_runs",
-            Unit::Count,
-            "write-lock acquisitions for coalesced write runs",
-            lane_sum(|l| l.write_runs),
-        ),
-        Metric::counter(
-            "service.read_runs",
-            Unit::Count,
-            "read-lock acquisitions for batched point-read runs",
-            lane_sum(|l| l.read_runs),
-        ),
-        Metric::counter(
-            "service.coalesced_writes",
-            Unit::Count,
-            "writes applied through a coalesced batch path",
-            lane_sum(|l| l.coalesced_writes),
-        ),
-        Metric::counter(
-            "service.panics",
-            Unit::Count,
-            "worker panics caught (each one poisoned its lane)",
-            lane_sum(|l| l.panics),
-        ),
-        Metric::counter(
-            "service.restarts",
-            Unit::Count,
-            "supervisor lane resurrections",
-            lane_sum(|l| l.restarts),
-        ),
-        Metric::counter(
-            "service.degraded_writes",
-            Unit::Count,
-            "writes refused by degraded read-only shards",
-            lane_sum(|l| l.degraded_writes),
-        ),
-        Metric::counter(
-            "service.sync_failures",
-            Unit::Count,
-            "group commits that failed on at least one shard",
-            lane_sum(|l| l.sync_failures),
-        ),
-        Metric::counter(
-            "service.checkpoint_failures",
-            Unit::Count,
-            "checkpoint rotations that failed (shard degraded)",
-            stats.checkpoint_failures,
-        ),
-        Metric::gauge(
-            "service.degraded",
-            Unit::Ratio,
-            "1 when any shard or lane is degraded (writes may be refused)",
-            if stats.is_degraded() { 1.0 } else { 0.0 },
-        ),
-        Metric::gauge(
-            "index.shards",
-            Unit::Count,
-            "live shard count (moves under rebalancing)",
-            stats.shards.len() as f64,
-        ),
-        Metric::gauge(
-            "index.entries",
-            Unit::Count,
-            "entries across all shards",
-            entries as f64,
-        ),
-        Metric::gauge(
-            "index.size_bytes",
-            Unit::Bytes,
-            "in-memory structure bytes across all shards",
-            size_bytes as f64,
-        ),
-        Metric::gauge(
-            "index.wal_bytes",
-            Unit::Bytes,
-            "un-checkpointed WAL bytes across all shards",
-            wal_bytes as f64,
-        ),
-        Metric::counter(
-            "index.io_retries",
-            Unit::Count,
-            "transient storage faults absorbed by retry",
-            io_retries,
-        ),
-        Metric::gauge(
-            "index.imbalance",
-            Unit::Ratio,
-            "fullest shard's entries over the mean (1.0 = balanced)",
-            stats.imbalance(),
-        ),
-        Metric::counter(
-            "routing.publishes",
-            Unit::Count,
-            "routing tables published (one per rebalance step)",
-            stats.routing.publishes,
-        ),
-        Metric::counter(
-            "routing.refreshes",
-            Unit::Count,
-            "reader cache misses that fell back to the publisher mutex",
-            stats.routing.refreshes,
-        ),
-        Metric::counter(
-            "routing.contended_reads",
-            Unit::Count,
-            "shard reads that hit a writer and took the fallback lock",
-            stats.routing.contended_reads,
-        ),
-        Metric::counter(
-            "routing.reclaimed",
-            Unit::Count,
-            "retired routing tables reclaimed after their grace period",
-            stats.routing.reclaimed,
-        ),
-        Metric::gauge(
-            "routing.retired_backlog",
-            Unit::Count,
-            "retired routing tables still awaiting reclamation",
-            stats.routing.retired_backlog as f64,
-        ),
-    ];
-    if let Some(reb) = &stats.rebalance {
-        out.push(Metric::counter(
-            "rebalance.steps",
-            Unit::Count,
-            "rebalance policy evaluations",
-            reb.steps,
-        ));
-        out.push(Metric::counter(
-            "rebalance.splits",
-            Unit::Count,
-            "shard splits performed",
-            reb.splits,
-        ));
-        out.push(Metric::counter(
-            "rebalance.merges",
-            Unit::Count,
-            "shard merges performed",
-            reb.merges,
-        ));
-        out.push(Metric::counter(
-            "rebalance.moved_keys",
-            Unit::Count,
-            "entries moved between shards by splits and merges",
-            reb.moved_keys,
-        ));
-    }
-    out
 }
 
 #[cfg(test)]

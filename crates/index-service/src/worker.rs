@@ -44,10 +44,9 @@
 //! the in-flight batch's unresolved completers cancel as the unwind
 //! drops them, the queue is closed so further submissions fail fast
 //! with [`Closed`](crate::Closed), everything already queued is
-//! drained and canceled, and the lane's
-//! [`panics`](crate::LaneServiceStats::panics) counter records the
-//! event. Other lanes — and [`shutdown`](crate::IndexService::shutdown)
-//! — proceed normally. The shard the panic escaped from may hold a
+//! drained and canceled, and the lane's `service.lane.<i>.panics`
+//! counter records the event. Other lanes — and
+//! [`shutdown`](crate::IndexService::shutdown) — proceed normally. The shard the panic escaped from may hold a
 //! partially applied batch (the locks themselves do not poison), which
 //! is exactly the weaker guarantee the canceled tickets report. Under
 //! [`start_supervised`](crate::IndexService::start_supervised) a

@@ -5,8 +5,8 @@
 //! caller obtained at registration and never touches the lock, so the
 //! hot path stays wait-free. Subsystems whose counters predate this
 //! crate (lane/shard/routing/durability stats) plug in as *collectors*:
-//! closures invoked at snapshot time that translate their native stats
-//! structs into typed [`Metric`]s.
+//! closures invoked at snapshot time that read their live counters
+//! into typed [`Metric`]s.
 
 use crate::counter::{Counter, Gauge};
 use crate::histogram::{Histogram, HistogramSnapshot};

@@ -109,17 +109,22 @@ fn main() {
 
     // The pipeline is observable: queue depth, batch sizes, shard
     // occupancy.
-    let stats = service.stats();
+    let metrics = service.metrics();
     println!("ingested {ingested} fresh keys, {hits} read hits, {busy_retries} busy retries");
     println!(
         "mean batch {:.1} commands/drain, shard imbalance {:.2}",
-        stats.mean_batch_len(),
-        stats.imbalance()
+        metrics.gauge("service.mean_batch_len").unwrap_or(0.0),
+        metrics.gauge("index.imbalance").unwrap_or(0.0)
     );
-    for (lane, shard) in stats.lanes.iter().zip(&stats.shards) {
+    for (lane, shard) in service.index().shard_stats().iter().enumerate() {
+        let counter = |field: &str| metrics.counter(&format!("service.lane.{lane}.{field}"));
+        let largest = metrics.gauge(&format!("service.lane.{lane}.largest_batch"));
         println!(
-            "  lane {}: {} entries, {} processed in {} batches (largest {})",
-            lane.lane, shard.entries, lane.processed, lane.batches, lane.largest_batch
+            "  lane {lane}: {} entries, {} processed in {} batches (largest {})",
+            shard.entries,
+            counter("processed").unwrap_or(0),
+            counter("batches").unwrap_or(0),
+            largest.unwrap_or(0.0)
         );
     }
 

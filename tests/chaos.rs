@@ -36,13 +36,14 @@
 //!
 //! Scale knob: `FITING_CHAOS_SEEDS` (nightly CI raises it).
 
+use fiting::service::MetricsSnapshot;
 use fiting::storage::{
     DurableConfig, DurableIndex, FaultIo, FaultPlan, FsyncPolicy, InjectKind, IoOp, RetryPolicy,
 };
 use fiting::tree::{FitingTree, FitingTreeBuilder};
 use fiting::{
-    open_sharded, BuildableIndex, Degraded, DurabilityConfig, IndexService, LaneHealth,
-    ServiceConfig, ShardHealth, ShardedIndex, SortedIndex, SupervisorConfig,
+    open_sharded, BuildableIndex, Degraded, DurabilityConfig, IndexService, ServiceConfig,
+    ShardHealth, ShardedIndex, SortedIndex, SupervisorConfig,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::RangeBounds;
@@ -614,16 +615,16 @@ fn service_storm(root: &Path, seed: u64, io: &FaultIo) -> Result<(u64, u64), Str
     let deadline = Instant::now() + Duration::from_secs(20);
     let mut pump_round = 0u64;
     loop {
-        let stats = svc.stats();
-        let lanes_ok = stats.lanes.iter().all(|l| l.health == LaneHealth::Healthy);
-        if lanes_ok && !stats.is_degraded() {
+        let metrics = svc.metrics();
+        // Health code 0 is `LaneHealth::Healthy`.
+        let lanes_ok = per_lane(&metrics, "health").iter().all(|&h| h == 0);
+        if lanes_ok && metrics.gauge("service.degraded") == Some(0.0) {
             break;
         }
         if Instant::now() > deadline {
             return Err(format!(
-                "service did not heal: lanes {:?}, degraded {}",
-                stats.lanes.iter().map(|l| l.health).collect::<Vec<_>>(),
-                stats.is_degraded()
+                "service did not heal: {}",
+                health_summary(&metrics)
             ));
         }
         pump_round += 1;
@@ -654,14 +655,9 @@ fn service_storm(root: &Path, seed: u64, io: &FaultIo) -> Result<(u64, u64), Str
                     break;
                 }
                 Err(e) if Instant::now() > deadline => {
-                    let stats = svc.stats();
                     return Err(format!(
-                        "healed service kept refusing probe {probe}: {e} (lanes {:?}, \
-                         restarts {:?}, panics {:?}, degraded {})",
-                        stats.lanes.iter().map(|l| l.health).collect::<Vec<_>>(),
-                        stats.lanes.iter().map(|l| l.restarts).collect::<Vec<_>>(),
-                        stats.lanes.iter().map(|l| l.panics).collect::<Vec<_>>(),
-                        stats.is_degraded()
+                        "healed service kept refusing probe {probe}: {e} ({})",
+                        health_summary(&svc.metrics())
                     ));
                 }
                 Err(_) => std::thread::sleep(Duration::from_millis(2)),
@@ -673,10 +669,10 @@ fn service_storm(root: &Path, seed: u64, io: &FaultIo) -> Result<(u64, u64), Str
         }
     }
 
-    let stats = svc.stats();
-    let restarts: u64 = stats.lanes.iter().map(|l| l.restarts).sum();
-    let panics: u64 = stats.lanes.iter().map(|l| l.panics).sum();
-    let checkpoint_failures = stats.checkpoint_failures;
+    let metrics = svc.metrics();
+    let restarts = metrics.counter("service.restarts").unwrap_or(0);
+    let panics = metrics.counter("service.panics").unwrap_or(0);
+    let checkpoint_failures = metrics.counter("service.checkpoint_failures").unwrap_or(0);
     if panics != restarts {
         return Err(format!("{panics} panics but {restarts} resurrections"));
     }
@@ -711,9 +707,34 @@ fn service_storm(root: &Path, seed: u64, io: &FaultIo) -> Result<(u64, u64), Str
     Ok((restarts, checkpoint_failures))
 }
 
+/// Every lane's `field` (a counter, or a gauge such as the `health`
+/// code), in lane order.
+fn per_lane(metrics: &MetricsSnapshot, field: &str) -> Vec<u64> {
+    let lanes = metrics.gauge("service.lanes").unwrap_or(0.0) as usize;
+    (0..lanes)
+        .map(|lane| {
+            let name = format!("service.lane.{lane}.{field}");
+            let gauge = || metrics.gauge(&name).map(|v| v as u64);
+            metrics.counter(&name).or_else(gauge).unwrap_or(u64::MAX)
+        })
+        .collect()
+}
+
+/// Lane health codes, restarts and panics plus the degraded flag — the
+/// context a failed heal wait reports.
+fn health_summary(metrics: &MetricsSnapshot) -> String {
+    format!(
+        "lane health {:?}, restarts {:?}, panics {:?}, degraded {:?}",
+        per_lane(metrics, "health"),
+        per_lane(metrics, "restarts"),
+        per_lane(metrics, "panics"),
+        metrics.gauge("service.degraded")
+    )
+}
+
 /// Deterministic companion to the seeded storms: force the checkpoint
 /// coordinator into exactly one rotation failure and prove it reaches
-/// [`fiting::ServiceStats::checkpoint_failures`], then heals. The
+/// the `service.checkpoint_failures` metric, then heals. The
 /// seeded schedules usually produce coordinator faults too, but
 /// whether one lands inside a checkpoint window is schedule luck — the
 /// propagation guarantee is pinned here with a targeted injection.
@@ -755,14 +776,14 @@ fn forced_checkpoint_failure(root: &Path, io: &FaultIo) -> Result<(), String> {
     // The one-shot fault degrades one shard and bumps the counter; the
     // coordinator's next pass retries the degraded shard and heals it.
     let deadline = Instant::now() + Duration::from_secs(20);
-    while svc.stats().checkpoint_failures == 0 {
+    while svc.metrics().counter("service.checkpoint_failures") == Some(0) {
         if Instant::now() > deadline {
             let _ = svc.shutdown();
-            return Err("forced rotation fault never reached ServiceStats".into());
+            return Err("forced rotation fault never reached the metrics".into());
         }
         std::thread::sleep(Duration::from_millis(1));
     }
-    while svc.stats().is_degraded() {
+    while svc.metrics().gauge("service.degraded") != Some(0.0) {
         if Instant::now() > deadline {
             let _ = svc.shutdown();
             return Err("shard stayed degraded after the one-shot fault".into());

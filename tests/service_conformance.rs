@@ -82,12 +82,19 @@ where
         Err(TryPushError::Closed(_)) => panic!("{name}: service is open"),
     }
 
-    // Stats reconcile with the work done.
-    let stats = service.stats();
-    assert_eq!(stats.lanes.len(), 4, "{name}");
-    assert_eq!(stats.shards.len(), 4, "{name}: no rebalancer attached");
-    assert!(stats.total_processed() >= 14, "{name}: processed counted");
-    assert!(stats.imbalance() >= 1.0, "{name}");
+    // Metrics reconcile with the work done.
+    let metrics = service.metrics();
+    assert_eq!(metrics.gauge("service.lanes"), Some(4.0), "{name}");
+    assert_eq!(
+        metrics.gauge("index.shards"),
+        Some(4.0),
+        "{name}: no rebalancer attached"
+    );
+    assert!(
+        metrics.counter("service.processed").unwrap() >= 14,
+        "{name}: processed counted"
+    );
+    assert!(metrics.gauge("index.imbalance").unwrap() >= 1.0, "{name}");
 
     // Shutdown drains, then refuses.
     let index = service.shutdown();

@@ -200,23 +200,26 @@ fn skew_stress_service_rebalances_under_pipelined_load() {
     // the skew, then for the layout to settle.
     let deadline = std::time::Instant::now() + Duration::from_secs(30);
     loop {
-        let stats = service.stats();
-        let reb = stats.rebalance.expect("rebalancer attached");
-        if reb.splits >= 1 && stats.imbalance() <= 2.0 {
+        let metrics = service.metrics();
+        let splits = metrics
+            .counter("rebalance.splits")
+            .expect("rebalancer attached");
+        if splits >= 1 && metrics.gauge("index.imbalance").unwrap() <= 2.0 {
             break;
         }
         assert!(
             std::time::Instant::now() < deadline,
-            "rebalancing never settled: {stats:?}"
+            "rebalancing never settled: {}",
+            metrics.to_json().pretty()
         );
         thread::sleep(Duration::from_millis(5));
     }
     stop.store(true, Ordering::Release);
     assert!(reader.join().unwrap() > 0);
 
-    let stats = service.stats();
-    assert!(stats.shards.len() > stats.lanes.len());
-    assert!(stats.rebalance.unwrap().moved_keys > 0);
+    let metrics = service.metrics();
+    assert!(metrics.gauge("index.shards") > metrics.gauge("service.lanes"));
+    assert!(metrics.counter("rebalance.moved_keys").unwrap() > 0);
 
     // Every appended key visible through the pipeline.
     for i in (0..tail).step_by(503) {
