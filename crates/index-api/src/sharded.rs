@@ -45,6 +45,9 @@
 //!   the operation re-fetches the current table and accepts if it
 //!   still routes the key to the locked shard (shard identity by
 //!   `Arc` pointer); otherwise it retries against the new layout.
+//!   Batched writes ([`insert_many`], [`with_write_groups`]) follow
+//!   the same protocol once per shard group: one pin, one write lock
+//!   and one version check per involved shard.
 //! * **Lock order.** Multi-shard operations ([`range_collect`],
 //!   [`insert_many`], [`len`]) visit shards in ascending index order
 //!   and hold at most one shard lock (or read section) at a time; a
@@ -64,6 +67,7 @@
 //!
 //! [`range_collect`]: ShardedIndex::range_collect
 //! [`insert_many`]: ShardedIndex::insert_many
+//! [`with_write_groups`]: ShardedIndex::with_write_groups
 //! [`len`]: ShardedIndex::len
 //! [`split_shard`]: ShardedIndex::split_shard
 //! [`merge_with_next`]: ShardedIndex::merge_with_next
@@ -572,7 +576,7 @@ impl<K: Key, V: Clone, I: SortedIndex<K, V> + 'static> ShardedIndex<K, V, I> {
     /// writer inside the shard) performs **zero lock acquisitions and
     /// zero `Arc` clones**: the routing pin is a thread-local version
     /// check and the shard entry is a presence-slot announcement.
-    fn read_owner<R>(&self, key: &K, f: impl FnOnce(&I) -> R) -> R {
+    pub fn with_shard_read<R>(&self, key: &K, f: impl FnOnce(&I) -> R) -> R {
         let routing = &self.inner.routing;
         let mut f = Some(f);
         loop {
@@ -604,10 +608,11 @@ impl<K: Key, V: Clone, I: SortedIndex<K, V> + 'static> ShardedIndex<K, V, I> {
         }
     }
 
-    /// Exclusive-access counterpart of [`read_owner`](Self::read_owner)
-    /// — same route-then-validate protocol, entering the shard's write
-    /// side (which waits for in-flight readers to drain).
-    fn write_owner<R>(&self, key: &K, f: impl FnOnce(&mut I) -> R) -> R {
+    /// Exclusive-access counterpart of
+    /// [`with_shard_read`](Self::with_shard_read) — same
+    /// route-then-validate protocol, entering the shard's write side
+    /// (which waits for in-flight readers to drain).
+    pub fn with_shard_write<R>(&self, key: &K, f: impl FnOnce(&mut I) -> R) -> R {
         let routing = &self.inner.routing;
         let mut f = Some(f);
         loop {
@@ -734,17 +739,74 @@ impl<K: Key, V: Clone, I: SortedIndex<K, V> + 'static> ShardedIndex<K, V, I> {
     /// so a quiescent index costs zero locks and zero `Arc` clones.
     #[must_use]
     pub fn get(&self, key: &K) -> Option<V> {
-        self.read_owner(key, |shard| shard.get(key).cloned())
+        self.with_shard_read(key, |shard| shard.get(key).cloned())
     }
 
     /// Upsert under the owning shard's write lock.
     pub fn insert(&self, key: K, value: V) -> Option<V> {
-        self.write_owner(&key, |shard| shard.insert(key, value))
+        self.with_shard_write(&key, |shard| shard.insert(key, value))
     }
 
     /// Remove under the owning shard's write lock.
     pub fn remove(&self, key: &K) -> Option<V> {
-        self.write_owner(key, |shard| shard.remove(key))
+        self.with_shard_write(key, |shard| shard.remove(key))
+    }
+
+    /// The grouped-write protocol behind [`insert_many`],
+    /// [`insert_many_reporting`] and [`with_write_groups`]: pins the
+    /// routing snapshot, groups `items` by owning shard, and hands each
+    /// group to `apply` under that shard's write lock — one acquisition
+    /// per involved shard per pass. Validation is
+    /// [`with_shard_write`]'s, done once per group: an unchanged
+    /// publisher version proves the whole group is still routed here;
+    /// otherwise each key is checked against the current table by shard
+    /// identity, and keys a concurrent rebalance moved are queued for
+    /// another pass. Returns the number of write locks taken.
+    ///
+    /// Grouping is stable and a key's items always share a group, so
+    /// items for one key reach `apply` in submitted order.
+    ///
+    /// [`insert_many`]: Self::insert_many
+    /// [`insert_many_reporting`]: Self::insert_many_reporting
+    /// [`with_write_groups`]: Self::with_write_groups
+    /// [`with_shard_write`]: Self::with_shard_write
+    fn write_grouped<T>(
+        &self,
+        items: Vec<(K, T)>,
+        mut apply: impl FnMut(&mut I, Vec<(K, T)>),
+    ) -> usize {
+        let routing = &self.inner.routing;
+        let mut pending = items;
+        let mut locks = 0;
+        while !pending.is_empty() {
+            routing.read(|version, table| {
+                let mut groups: Vec<Vec<(K, T)>> =
+                    (0..table.shards.len()).map(|_| Vec::new()).collect();
+                for (k, t) in std::mem::take(&mut pending) {
+                    groups[table.shard_for(&k)].push((k, t));
+                }
+                for (shard, group) in table.shards.iter().zip(groups) {
+                    if group.is_empty() {
+                        continue;
+                    }
+                    let mut guard = shard.write();
+                    locks += 1;
+                    if routing.version() == version {
+                        apply(&mut guard, group);
+                        continue;
+                    }
+                    let cur = routing.current();
+                    let (owned, moved): (Vec<_>, Vec<_>) = group
+                        .into_iter()
+                        .partition(|(k, _)| Arc::ptr_eq(&cur.shards[cur.shard_for(k)], shard));
+                    pending.extend(moved);
+                    if !owned.is_empty() {
+                        apply(&mut guard, owned);
+                    }
+                }
+            });
+        }
+        locks
     }
 
     /// Batched insert: groups the batch by destination shard, then
@@ -758,119 +820,29 @@ impl<K: Key, V: Clone, I: SortedIndex<K, V> + 'static> ShardedIndex<K, V, I> {
     ///
     /// Returns the number of keys that were new (not overwrites).
     pub fn insert_many<It: IntoIterator<Item = (K, V)>>(&self, batch: It) -> usize {
-        let mut pending: Vec<(K, V)> = batch.into_iter().collect();
         let mut fresh = 0;
-        while !pending.is_empty() {
-            let table = self.table();
-            let mut groups: Vec<Vec<(K, V)>> =
-                (0..table.shards.len()).map(|_| Vec::new()).collect();
-            for (k, v) in std::mem::take(&mut pending) {
-                groups[table.shard_for(&k)].push((k, v));
-            }
-            for (sid, group) in groups.into_iter().enumerate() {
-                if group.is_empty() {
-                    continue;
-                }
-                let shard = &table.shards[sid];
-                let mut guard = shard.write();
-                let cur = self.table();
-                let mut owned = Vec::with_capacity(group.len());
-                for (k, v) in group {
-                    if Arc::ptr_eq(&cur.shards[cur.shard_for(&k)], shard) {
-                        owned.push((k, v));
-                    } else {
-                        pending.push((k, v));
-                    }
-                }
-                if !owned.is_empty() {
-                    fresh += guard.insert_many(owned);
-                }
-            }
-        }
+        self.write_grouped(batch.into_iter().collect(), |shard, group| {
+            fresh += shard.insert_many(group);
+        });
         fresh
     }
 
-    /// Applies `f` to every `(key, payload)` item inside the owning
-    /// shard's *read* section, grouping items so each involved shard is
-    /// entered once per pass instead of once per item. Items whose key
-    /// a concurrent rebalance re-routes mid-pass are retried against
-    /// the new layout, so `f` runs exactly once per item and always
-    /// against the shard that owns the key at that moment.
-    ///
-    /// Returns the number of read sections entered — the coalescing
-    /// win the service layer reports as `read_runs`.
-    ///
-    /// Within one key, items keep their submitted order (grouping is
-    /// stable and a key's items always land in the same group).
-    pub fn with_read_groups<T>(&self, items: Vec<(K, T)>, mut f: impl FnMut(&I, K, T)) -> usize {
-        let mut pending = items;
-        let mut runs = 0;
-        while !pending.is_empty() {
-            let table = self.table();
-            let mut groups: Vec<Vec<(K, T)>> =
-                (0..table.shards.len()).map(|_| Vec::new()).collect();
-            for (k, t) in std::mem::take(&mut pending) {
-                groups[table.shard_for(&k)].push((k, t));
-            }
-            for (sid, group) in groups.into_iter().enumerate() {
-                if group.is_empty() {
-                    continue;
-                }
-                let shard = &table.shards[sid];
-                shard.read_with(|s| {
-                    let cur = self.table();
-                    runs += 1;
-                    for (k, t) in group {
-                        if Arc::ptr_eq(&cur.shards[cur.shard_for(&k)], shard) {
-                            f(s, k, t);
-                        } else {
-                            pending.push((k, t));
-                        }
-                    }
-                });
-            }
-        }
-        runs
-    }
-
-    /// Write-lock counterpart of
-    /// [`with_read_groups`](Self::with_read_groups): applies `f` to
-    /// every `(key, payload)` item under the owning shard's write
-    /// lock, one acquisition per involved shard per pass, revalidating
-    /// against concurrent rebalances. Returns the number of write-lock
-    /// acquisitions taken.
+    /// Applies `f` to every `(key, payload)` item under the owning
+    /// shard's write lock, one acquisition per involved shard per pass,
+    /// revalidating against concurrent rebalances, so `f` runs exactly
+    /// once per item and always against the shard that owns the key at
+    /// that moment. Within one key, items keep their submitted order.
+    /// Returns the number of write-lock acquisitions taken.
     pub fn with_write_groups<T>(
         &self,
         items: Vec<(K, T)>,
         mut f: impl FnMut(&mut I, K, T),
     ) -> usize {
-        let mut pending = items;
-        let mut locks = 0;
-        while !pending.is_empty() {
-            let table = self.table();
-            let mut groups: Vec<Vec<(K, T)>> =
-                (0..table.shards.len()).map(|_| Vec::new()).collect();
-            for (k, t) in std::mem::take(&mut pending) {
-                groups[table.shard_for(&k)].push((k, t));
+        self.write_grouped(items, |shard, group| {
+            for (k, t) in group {
+                f(shard, k, t);
             }
-            for (sid, group) in groups.into_iter().enumerate() {
-                if group.is_empty() {
-                    continue;
-                }
-                let shard = &table.shards[sid];
-                let mut guard = shard.write();
-                let cur = self.table();
-                locks += 1;
-                for (k, t) in group {
-                    if Arc::ptr_eq(&cur.shards[cur.shard_for(&k)], shard) {
-                        f(&mut guard, k, t);
-                    } else {
-                        pending.push((k, t));
-                    }
-                }
-            }
-        }
-        locks
+        })
     }
 
     /// Collects a cross-shard range scan, visiting each overlapping
@@ -902,7 +874,7 @@ impl<K: Key, V: Clone, I: SortedIndex<K, V> + 'static> ShardedIndex<K, V, I> {
                     // Span bounds must come from a table this shard is
                     // validated against — pinned if still current,
                     // else the re-fetched one (same proof as
-                    // read_owner's slow path).
+                    // with_shard_read's slow path).
                     let (vsid, vbounds) = if routing.version() == version {
                         (sid, &table.bounds)
                     } else {
@@ -996,25 +968,6 @@ impl<K: Key, V: Clone, I: SortedIndex<K, V> + 'static> ShardedIndex<K, V, I> {
         }
     }
 
-    /// Runs `f` with shared access to the shard that owns `key`,
-    /// revalidating against concurrent rebalances (like every key-
-    /// routed operation).
-    pub fn with_shard_read<R>(&self, key: &K, f: impl FnOnce(&I) -> R) -> R {
-        self.read_owner(key, f)
-    }
-
-    /// Runs `f` with exclusive access to the shard that owns `key`,
-    /// revalidating against concurrent rebalances.
-    pub fn with_shard_write<R>(&self, key: &K, f: impl FnOnce(&mut I) -> R) -> R {
-        self.write_owner(key, f)
-    }
-
-    // Positional lock accessors (`with_shard_read_at`/`write_at`) were
-    // retired with movable boundaries: a shard *index* validated by the
-    // caller can be renumbered by a concurrent merge before the call,
-    // making their panic contract unsatisfiable. The key-routed and
-    // grouped accessors above are the supported forms.
-
     /// Per-shard entry counts, in shard order (each shard read inside
     /// its own read section, one at a time) — the quick imbalance
     /// probe.
@@ -1050,40 +1003,32 @@ impl<K: Key, V: Clone, I: SortedIndex<K, V> + 'static> ShardedIndex<K, V, I> {
             .collect()
     }
 
-    /// Flushes every shard's buffered write-ahead log records
-    /// ([`SortedIndex::sync`]) — the sharded group-commit point the
-    /// service worker invokes after draining a batch that contained
-    /// writes. Returns the number of shards that actually flushed.
+    /// Flushes every shard's buffered write-ahead log records — the
+    /// sharded group-commit point. Returns the number of shards that
+    /// actually flushed: [`try_sync_all`](Self::try_sync_all)'s count,
+    /// with a failed flush counted as not flushed, exactly as
+    /// [`SortedIndex::sync`] reports it.
     ///
     /// Each shard is write-locked one at a time (never two locks at
     /// once); for volatile shard structures every call is a no-op and
     /// the cost is one uncontended lock round per shard.
     pub fn sync_all(&self) -> usize {
-        self.table()
-            .shards
-            .iter()
-            .filter(|s| s.write().sync())
-            .count()
+        self.try_sync_all().0
     }
 
-    /// Checkpoints ([`SortedIndex::checkpoint`]) every shard whose
-    /// write-ahead log has grown to at least `min_wal_bytes`, bounding
-    /// recovery replay time. Returns the number of shards
-    /// checkpointed.
+    /// Checkpoints every shard whose write-ahead log has grown to at
+    /// least `min_wal_bytes`, bounding recovery replay time. Returns
+    /// the number of shards checkpointed:
+    /// [`try_checkpoint_shards`](Self::try_checkpoint_shards)'s count,
+    /// with a failed checkpoint counted as not taken, exactly as
+    /// [`SortedIndex::checkpoint`] reports it.
     ///
     /// Like [`sync_all`](Self::sync_all), shards are write-locked one
     /// at a time; volatile shard structures report `wal_bytes() == 0`
     /// and are skipped (unless `min_wal_bytes == 0`, where the
     /// checkpoint call itself is still a no-op for them).
     pub fn checkpoint_shards(&self, min_wal_bytes: usize) -> usize {
-        self.table()
-            .shards
-            .iter()
-            .filter(|s| {
-                let mut shard = s.write();
-                shard.wal_bytes() >= min_wal_bytes && shard.checkpoint()
-            })
-            .count()
+        self.try_checkpoint_shards(min_wal_bytes).0
     }
 
     /// Failure-reporting counterpart of [`sync_all`](Self::sync_all):
@@ -1157,40 +1102,15 @@ impl<K: Key, V: Clone, I: SortedIndex<K, V> + 'static> ShardedIndex<K, V, I> {
         &self,
         batch: It,
     ) -> (usize, usize) {
-        let mut pending: Vec<(K, V)> = batch.into_iter().collect();
         let mut fresh = 0;
         let mut refused = 0;
-        while !pending.is_empty() {
-            let table = self.table();
-            let mut groups: Vec<Vec<(K, V)>> =
-                (0..table.shards.len()).map(|_| Vec::new()).collect();
-            for (k, v) in std::mem::take(&mut pending) {
-                groups[table.shard_for(&k)].push((k, v));
+        self.write_grouped(batch.into_iter().collect(), |shard, group| {
+            let n = group.len();
+            match shard.try_insert_many(group) {
+                Ok(f) => fresh += f,
+                Err(_) => refused += n,
             }
-            for (sid, group) in groups.into_iter().enumerate() {
-                if group.is_empty() {
-                    continue;
-                }
-                let shard = &table.shards[sid];
-                let mut guard = shard.write();
-                let cur = self.table();
-                let mut owned = Vec::with_capacity(group.len());
-                for (k, v) in group {
-                    if Arc::ptr_eq(&cur.shards[cur.shard_for(&k)], shard) {
-                        owned.push((k, v));
-                    } else {
-                        pending.push((k, v));
-                    }
-                }
-                if !owned.is_empty() {
-                    let n = owned.len();
-                    match guard.try_insert_many(owned) {
-                        Ok(f) => fresh += f,
-                        Err(_) => refused += n,
-                    }
-                }
-            }
-        }
+        });
         (fresh, refused)
     }
 
@@ -1550,14 +1470,12 @@ mod tests {
         assert!(locks <= 4, "one write lock per involved shard");
         assert_eq!(idx.len(), 1_300);
 
-        let reads: Vec<(u64, usize)> = (0..300u64).map(|k| (k * 2 + 1, 0usize)).collect();
-        let mut hits = 0;
-        let locks = idx.with_read_groups(reads, |shard, k, _| {
-            assert!(shard.get(&k).is_some());
-            hits += 1;
-        });
-        assert_eq!(hits, 300);
-        assert!(locks <= 4);
+        // The refusal-aware batch path shares the protocol: 300 new keys
+        // plus 300 overwrites, none refused by a volatile shard.
+        let batch = (0..300u64).flat_map(|k| [(k * 2 + 601, k), (k * 2 + 1, k + 1)]);
+        assert_eq!(idx.insert_many_reporting(batch), (300, 0));
+        assert_eq!(idx.len(), 1_600);
+        assert_eq!(idx.get(&1), Some(1));
     }
 
     #[test]

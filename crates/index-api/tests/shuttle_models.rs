@@ -2,12 +2,13 @@
 //! run under the workspace's deterministic scheduler (`shuttle`).
 //!
 //! The models mirror `src/sharded.rs`: the epoch-validated
-//! route-then-lock retry loop (`read_owner`), `split_shard`'s
-//! publish-before-unlock ordering, and `merge_with_next`'s serialized
-//! keep→retire two-write-lock hold. Each correct protocol clears
-//! ≥ 10 000 interleavings; each deliberately broken variant (the bug
-//! class the protocol exists to prevent) must be *caught*, proving the
-//! models have teeth.
+//! route-then-lock retry loop (`with_shard_read`), the grouped write
+//! behind `insert_many` / `with_write_groups` (`write_grouped`),
+//! `split_shard`'s publish-before-unlock ordering, and
+//! `merge_with_next`'s serialized keep→retire two-write-lock hold.
+//! Each correct protocol clears ≥ 10 000 interleavings; each
+//! deliberately broken variant (the bug class the protocol exists to
+//! prevent) must be *caught*, proving the models have teeth.
 //!
 //! If a protocol change in `sharded.rs` is intentional, change the
 //! mirror here in the same PR — drift between the two is exactly what
@@ -92,8 +93,9 @@ impl ModelSharded {
         Arc::clone(&self.table.read())
     }
 
-    /// `read_owner`: route, lock, then revalidate the epoch; retry if a
-    /// rebalance published in the window between routing and locking.
+    /// `with_shard_read`: route, lock, then revalidate the epoch; retry
+    /// if a rebalance published in the window between routing and
+    /// locking.
     fn get(&self, key: u64) -> bool {
         loop {
             let epoch = self.epoch.load(Ordering::Acquire);
@@ -106,6 +108,42 @@ impl ModelSharded {
             let cur = self.table();
             if Arc::ptr_eq(&cur, &table) || Arc::ptr_eq(&cur.shards[cur.shard_for(key)], &shard) {
                 return guard.contains(&key);
+            }
+        }
+    }
+
+    /// `write_grouped`: route every key under one pinned table, take
+    /// the owning shard's write lock once per group, and apply the
+    /// whole group when the epoch is unchanged; otherwise keep only the
+    /// keys the current table still routes to the locked shard and
+    /// queue the rest for another pass. With `validate` false the
+    /// model applies the group unchecked — the bug the check prevents.
+    fn insert_group(&self, keys: Vec<u64>, validate: bool) {
+        let mut pending = keys;
+        while !pending.is_empty() {
+            let epoch = self.epoch.load(Ordering::Acquire);
+            let table = self.table();
+            let mut groups: Vec<Vec<u64>> = table.shards.iter().map(|_| Vec::new()).collect();
+            for k in pending.drain(..) {
+                groups[table.shard_for(k)].push(k);
+            }
+            for (shard, group) in table.shards.iter().zip(groups) {
+                if group.is_empty() {
+                    continue;
+                }
+                let mut guard = shard.write();
+                if !validate || self.epoch.load(Ordering::Acquire) == epoch {
+                    guard.extend(group);
+                    continue;
+                }
+                let cur = self.table();
+                for k in group {
+                    if Arc::ptr_eq(&cur.shards[cur.shard_for(k)], shard) {
+                        guard.push(k);
+                    } else {
+                        pending.push(k);
+                    }
+                }
             }
         }
     }
@@ -191,6 +229,40 @@ fn publish_after_unlock_split_is_caught() {
         .expect("unlock-before-publish must lose a routed key in some schedule");
     assert!(
         failure.message.contains("lost during split"),
+        "unexpected failure kind: {}",
+        failure.message
+    );
+}
+
+/// Grouped two-key write racing `split_shard`: both keys start routed
+/// to the split shard and only one of them stays there, so a group
+/// applied under the pre-split table must re-route the moved key.
+/// Both must be readable once the writer and the splitter are done.
+fn group_write_racing_split(validate: bool) {
+    let s = Arc::new(ModelSharded::new(vec![1, 7], vec![10, 15]));
+    let splitter_s = Arc::clone(&s);
+    let splitter = thread::spawn(move || splitter_s.split_first_shard(5, true));
+    s.insert_group(vec![3, 6], validate);
+    splitter.join().unwrap();
+    assert!(s.get(3), "key 3 lost by grouped write");
+    assert!(s.get(6), "key 6 lost by grouped write");
+}
+
+#[test]
+fn grouped_write_racing_split_shard() {
+    quick_battery("group_write_racing_split", || {
+        group_write_racing_split(true);
+    });
+}
+
+#[test]
+fn unvalidated_grouped_write_is_caught() {
+    let report = model::explore(|| group_write_racing_split(false), QUICK_BATTERY);
+    let failure = report
+        .failure
+        .expect("an unchecked group must strand a moved key in some schedule");
+    assert!(
+        failure.message.contains("lost by grouped write"),
         "unexpected failure kind: {}",
         failure.message
     );

@@ -15,8 +15,8 @@
 //!
 //! * runs of point writes apply under **one** write-lock acquisition
 //!   per involved shard,
-//! * runs of point reads answer under **one** read-lock acquisition
-//!   per involved shard,
+//! * point reads answer through the wait-free `get`, taking no lock
+//!   in steady state,
 //! * `InsertMany` flows through a single `insert_many` call,
 //! * each command resolves an executor-free Condvar [`Ticket`] the submitter
 //!   holds (executor-agnostic: a future `tokio` front-end wraps
@@ -809,6 +809,8 @@ mod tests {
         // more than one per command.
         let execute = snap.histogram("service.insert.execute").unwrap();
         assert!(execute.count() >= 1 && execute.count() <= 100);
+        // Point reads are never grouped: one sample per `Get`.
+        assert_eq!(snap.histogram("service.get.execute").unwrap().count(), 1);
         // The pipeline and index counters ride in the same snapshot.
         assert_eq!(snap.counter("service.processed"), Some(101));
         assert_eq!(snap.gauge("service.lanes"), Some(2.0));

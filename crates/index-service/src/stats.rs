@@ -128,8 +128,6 @@ pub(crate) struct WorkerCounters {
     /// plus one per `InsertMany` command (whose cross-shard call may
     /// take one lock per destination shard internally).
     pub write_runs: AtomicU64,
-    /// Read-lock acquisitions taken for runs of ≥ 1 point reads.
-    pub read_runs: AtomicU64,
     /// Individual `Insert`/`InsertMany` pairs applied through a
     /// coalesced batch path instead of one-lock-per-op.
     pub coalesced_writes: AtomicU64,
@@ -228,7 +226,7 @@ fn load(counter: &AtomicU64) -> u64 {
 }
 
 /// Every lane field, in export order.
-const LANE_FIELDS: [LaneField; 14] = [
+const LANE_FIELDS: [LaneField; 13] = [
     gauge(
         "queue.depth",
         true,
@@ -257,11 +255,6 @@ const LANE_FIELDS: [LaneField; 14] = [
         "write_runs",
         "write-lock acquisitions for coalesced write runs",
         |l| load(&l.counters.write_runs),
-    ),
-    counter(
-        "read_runs",
-        "read-lock acquisitions for batched point-read runs",
-        |l| load(&l.counters.read_runs),
     ),
     counter(
         "coalesced_writes",

@@ -5,24 +5,23 @@
 //! discipline is what turns the queue into a per-key ordering
 //! guarantee (lane routing is frozen at service start, so a key's
 //! commands always share a lane even while the rebalancer moves shard
-//! boundaries underneath). Within one drained batch the worker groups
-//! maximal runs of like commands:
+//! boundaries underneath). Within one drained batch the worker
+//! executes, in order:
 //!
-//! * a run of point writes (`Insert`/`Remove`) executes through
+//! * each maximal run of point writes (`Insert`/`Remove`) through
 //!   [`ShardedIndex::with_write_groups`] — **one** write-lock
 //!   acquisition per involved shard instead of one per op;
-//! * a run of point reads (`Get`) executes through
-//!   [`ShardedIndex::with_read_groups`] — one read-lock acquisition
-//!   per involved shard;
 //! * `InsertMany` goes through a single
 //!   [`ShardedIndex::insert_many`] call (cross-shard capable, one lock
 //!   per destination shard);
+//! * `Get` is answered by the wait-free [`ShardedIndex::get`] (no lock
+//!   in steady state, so there is nothing to amortize by grouping);
 //! * `Range` executes through [`ShardedIndex::range_collect`], which
-//!   walks the live routing table shard by shard, one read lock at a
-//!   time.
+//!   walks the live routing table shard by shard, one read section at
+//!   a time.
 //!
-//! All four paths revalidate against the routing table after acquiring
-//! each shard lock, so a concurrent split/merge re-routes rather than
+//! All four paths revalidate against the routing table inside each
+//! shard section, so a concurrent split/merge re-routes rather than
 //! strands a command. Inserted keys are fed to the rebalancer's
 //! [`WriteSampler`](fiting_index_api::WriteSampler) (when attached) so
 //! split boundaries track the live write distribution.
@@ -71,7 +70,7 @@
 //! [`Ticket::wait`]: crate::Ticket::wait
 //! [`ShardedIndex::insert_many`]: fiting_index_api::ShardedIndex::insert_many
 //! [`ShardedIndex::range_collect`]: fiting_index_api::ShardedIndex::range_collect
-//! [`ShardedIndex::with_read_groups`]: fiting_index_api::ShardedIndex::with_read_groups
+//! [`ShardedIndex::get`]: fiting_index_api::ShardedIndex::get
 //! [`ShardedIndex::with_write_groups`]: fiting_index_api::ShardedIndex::with_write_groups
 
 use crate::command::Command;
@@ -215,9 +214,9 @@ fn execute_batch<K: Key, V: Clone, I: SortedIndex<K, V> + 'static>(
     // (a mutex) orders the results themselves.
     let mut cmds = batch.into_iter().peekable();
     while let Some(cmd) = cmds.next() {
-        // Execute time is recorded per *run* (the coalescing
-        // granularity — one grouped index call), attributed to the
-        // run's first command's kind.
+        // Execute time is recorded per index call: one sample per
+        // `Get`, `Range` or `InsertMany`, and one per coalesced
+        // point-write run, attributed to the run's first command.
         let kind = cmd.command_kind();
         let run_started = Instant::now();
         match cmd {
@@ -247,23 +246,7 @@ fn execute_batch<K: Key, V: Clone, I: SortedIndex<K, V> + 'static>(
                     done.degrade();
                 }
             }
-            Command::Get { key, done } => {
-                // Maximal run of point reads: answer them all with one
-                // read-lock acquisition per involved shard.
-                let mut run = vec![(key, done)];
-                while matches!(cmds.peek(), Some(Command::Get { .. })) {
-                    let Some(Command::Get { key, done }) = cmds.next() else {
-                        break;
-                    };
-                    run.push((key, done));
-                }
-                let locks = shared.index.with_read_groups(run, |idx, key, done| {
-                    done.complete(idx.get(&key).cloned());
-                });
-                counters
-                    .read_runs
-                    .fetch_add(locks as u64, Ordering::Relaxed);
-            }
+            Command::Get { key, done } => done.complete(shared.index.get(&key)),
             first @ (Command::Insert { .. } | Command::Remove { .. }) => {
                 // Maximal run of point writes: apply them all — in
                 // submission order per key, which grouping preserves —

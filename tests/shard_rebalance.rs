@@ -190,10 +190,20 @@ fn skew_stress_service_rebalances_under_pipelined_load() {
     let client = service.client();
     let tail = tail_len();
     for batch in 0..(tail / 1_000) {
-        let keys: Vec<(u64, u64)> = (batch * 1_000..(batch + 1) * 1_000)
-            .map(|i| (tail_key(i), tail_key(i)))
+        // Every eighth key goes in as a pipelined point `Insert` (the
+        // worker's coalesced write runs), the rest through `InsertMany`,
+        // so both grouped write paths race the splits.
+        let (points, keys): (Vec<u64>, Vec<u64>) =
+            (batch * 1_000..(batch + 1) * 1_000).partition(|i| i % 8 == 0);
+        let tickets: Vec<_> = points
+            .iter()
+            .map(|&i| client.insert(tail_key(i), tail_key(i)))
             .collect();
-        client.insert_many(keys).wait().expect("service alive");
+        let pairs = keys.iter().map(|&i| (tail_key(i), tail_key(i))).collect();
+        client.insert_many(pairs).wait().expect("service alive");
+        for ticket in tickets {
+            assert_eq!(ticket.wait(), Ok(None), "appended keys are new");
+        }
     }
 
     // The coordinator steps every 1ms; wait for it to catch up with
@@ -221,7 +231,8 @@ fn skew_stress_service_rebalances_under_pipelined_load() {
     assert!(metrics.gauge("index.shards") > metrics.gauge("service.lanes"));
     assert!(metrics.counter("rebalance.moved_keys").unwrap() > 0);
 
-    // Every appended key visible through the pipeline.
+    // Every appended key visible through the pipeline; the stride
+    // visits keys from both the point and the batched inserts.
     for i in (0..tail).step_by(503) {
         let k = tail_key(i);
         assert_eq!(client.get(k).wait(), Ok(Some(k)), "lost appended key {k}");
